@@ -28,7 +28,6 @@ package catalog
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -142,7 +141,7 @@ func (c *Catalog) Handler() http.Handler {
 		auth := r.Header.Get("Authorization")
 		if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) ||
 			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(c.authToken)) != 1 {
-			writeJSON(w, http.StatusUnauthorized, server.ErrorResponse{
+			server.WriteJSON(w, http.StatusUnauthorized, server.ErrorResponse{
 				Code:  "unauthorized",
 				Error: "missing or invalid bearer token (Authorization: Bearer ...)",
 			})
@@ -159,7 +158,7 @@ type ListResponse struct {
 
 func (c *Catalog) handleList(w http.ResponseWriter, r *http.Request) {
 	infos := c.describeAll()
-	writeJSON(w, http.StatusOK, ListResponse{Tables: infos})
+	server.WriteJSON(w, http.StatusOK, ListResponse{Tables: infos})
 }
 
 func (c *Catalog) describeAll() []server.TableInfo {
@@ -186,7 +185,7 @@ func (c *Catalog) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	}
 	info := srv.Describe()
 	info.Name = name
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleDispatch forwards /v1/tables/{name}/{rest...} into the named
@@ -224,18 +223,12 @@ type HealthResponse struct {
 }
 
 func (c *Catalog) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Tables: c.describeAll()})
+	server.WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Tables: c.describeAll()})
 }
 
 func writeUnknownTable(w http.ResponseWriter, name string) {
-	writeJSON(w, http.StatusNotFound, server.ErrorResponse{
+	server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{
 		Code:  "unknown_table",
 		Error: fmt.Sprintf("unknown table %q (GET /v1/tables lists the catalog)", name),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -48,7 +48,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -403,7 +402,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		auth := r.Header.Get("Authorization")
 		if auth != "Bearer "+c.cfg.AuthToken {
-			writeError(w, http.StatusUnauthorized, "unauthorized",
+			server.WriteError(w, http.StatusUnauthorized, "unauthorized",
 				"missing or invalid bearer token (Authorization: Bearer ...)")
 			return
 		}
@@ -513,16 +512,31 @@ func planSpans(routes []route, lo, hi int64) []span {
 // clamped sub-request per intersecting range, each answered by that
 // range's replica set (preferred replica first, cross-replica hedge and
 // failover behind it), gathered in ascending route (= value-range)
-// order so multi-range answers merge deterministically.
-func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool) (server.QueryResult, error) {
-	var out server.QueryResult
-	if lo >= hi {
-		return out, nil
+// order so multi-range answers merge deterministically. The answer is
+// added into item: count and sum accumulate, values append.
+func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool, item *server.QueryResult) error {
+	tbl := c.routes.Load()
+	err := c.scatterOn(ctx, *tbl, lo, hi, aggregate, item)
+	// A drain marks its node drained only after it has swapped in the
+	// table that no longer routes to the node, so a read planned on the
+	// old table can find a range with no live replica. Replan once on the
+	// new table.
+	var unavail *rangeUnavailableError
+	if now := c.routes.Load(); now != tbl && errors.As(err, &unavail) {
+		err = c.scatterOn(ctx, *now, lo, hi, aggregate, item)
 	}
-	routes := *c.routes.Load()
+	return err
+}
+
+// scatterOn is scatter over one routing table. It changes item only
+// when every range answered.
+func (c *Coordinator) scatterOn(ctx context.Context, routes []route, lo, hi int64, aggregate bool, item *server.QueryResult) error {
+	if lo >= hi {
+		return nil
+	}
 	spans := planSpans(routes, lo, hi)
 	if len(spans) == 0 {
-		return out, nil
+		return nil
 	}
 	results := make([]server.QueryResult, len(spans))
 	errs := make([]error, len(spans))
@@ -570,25 +584,23 @@ func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return out, err
+			return err
 		}
 	}
 	// Gather in route order: range i's values all precede range i+1's,
 	// so a split-range answer concatenates into one deterministic
 	// ascending-by-shard sequence.
 	for _, res := range results {
-		out.Count += res.Count
-		out.Sum += res.Sum
-		if !aggregate {
-			out.Values = append(out.Values, res.Values...)
-		}
+		item.Count += res.Count
+		item.Sum += res.Sum
+		item.Values = append(item.Values, res.Values...)
 	}
-	return out, nil
+	return nil
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	inline := req.Lo != 0 || req.Hi != 0 || len(req.Or) > 0 || req.Col != ""
@@ -596,36 +608,32 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if items == nil {
 		items = []server.QueryItem{req.QueryItem}
 	} else if inline {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		server.WriteError(w, http.StatusBadRequest, "bad_request",
 			"give either an inline query or \"queries\", not both")
 		return
 	}
 	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
 		return
 	}
 	resp := server.QueryResponse{Results: make([]server.QueryResult, 0, len(items))}
 	for _, it := range items {
 		rs, err := itemRanges(it)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		var item server.QueryResult
 		for _, rg := range rs {
-			part, err := c.scatter(r.Context(), rg[0], rg[1], req.Aggregate)
-			if err != nil {
+			if err := c.scatter(r.Context(), rg[0], rg[1], req.Aggregate, &item); err != nil {
 				writeBackendError(w, err)
 				return
 			}
-			item.Count += part.Count
-			item.Sum += part.Sum
-			item.Values = append(item.Values, part.Values...)
 		}
 		resp.Results = append(resp.Results, item)
 	}
 	c.queries.Add(int64(len(items)))
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteQueryResponse(w, resp)
 }
 
 // routeIndexFor returns the index of the routing entry owning value v.
@@ -639,7 +647,7 @@ func routeIndexFor(routes []route, v int64) int {
 
 func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, insert bool) {
 	var req server.UpdateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	values := req.Values
@@ -647,7 +655,7 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, inser
 		values = append(values, *req.Value)
 	}
 	if len(values) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "no values")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "no values")
 		return
 	}
 	// Updates hold the read side for their whole span so a migration's
@@ -670,7 +678,7 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, inser
 		}
 		pending += p
 	}
-	writeJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending})
+	server.WriteJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending})
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -736,7 +744,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Skew: float64(maxPiece) / float64(c.rows),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ClusterHealth is the coordinator's /healthz body: overall status
@@ -822,7 +830,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1084,11 +1092,11 @@ func (c *Coordinator) findNode(url string) *node {
 
 func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.To == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
 		return
 	}
 	resp, err := c.Migrate(r.Context(), req.To, req.Lo, req.Hi)
@@ -1097,25 +1105,10 @@ func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "migrate:") {
 			status, code = http.StatusBadRequest, "bad_request"
 		}
-		writeError(w, status, code, err.Error())
+		server.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- small wire helpers (the coordinator is not a server.Server, so it
-// carries its own copies of the JSON plumbing) ---
-
-const maxBodyBytes = 8 << 20
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
-		return false
-	}
-	return true
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // rangeUnavailableError reports that a value range currently has no
@@ -1144,23 +1137,13 @@ func writeBackendError(w http.ResponseWriter, err error) {
 	var unavail *rangeUnavailableError
 	if errors.As(err, &unavail) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "unavailable_range", err.Error())
+		server.WriteError(w, http.StatusServiceUnavailable, "unavailable_range", err.Error())
 		return
 	}
 	var apiErr *server.APIError
 	if errors.As(err, &apiErr) && apiErr.Status < 500 {
-		writeError(w, apiErr.Status, apiErr.Code, err.Error())
+		server.WriteError(w, apiErr.Status, apiErr.Code, err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, "backend_unavailable", err.Error())
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: msg, Code: code})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteError(w, http.StatusBadGateway, "backend_unavailable", err.Error())
 }

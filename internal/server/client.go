@@ -252,6 +252,10 @@ func (c *Client) do(req *http.Request, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return apiError(resp)
 	}
+	if qr, ok := out.(*QueryResponse); ok {
+		*qr, err = readQueryResponse(resp.Body)
+		return err
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 

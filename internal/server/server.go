@@ -298,7 +298,7 @@ func (s *Server) Handler() http.Handler {
 		auth := r.Header.Get("Authorization")
 		if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) ||
 			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(s.authToken)) != 1 {
-			writeError(w, http.StatusUnauthorized, "unauthorized",
+			WriteError(w, http.StatusUnauthorized, "unauthorized",
 				"missing or invalid bearer token (Authorization: Bearer ...)")
 			return
 		}
@@ -522,14 +522,16 @@ type DrainResponse struct {
 }
 
 // queryBuffers is the pooled per-request scratch of the query handler:
-// the predicate list, the single-query append destination and the batch
-// arena. Recycled through bufPool so a warmed server's query hot path
-// performs no per-request heap allocations in the DB layer.
+// the predicate list, the single-query append destination, the batch
+// arena and the encoded answer. Recycled through bufPool so a warmed
+// server's query hot path performs no per-request heap allocations in
+// the DB layer, and none that grow with the answer in the encoder.
 type queryBuffers struct {
 	preds []crackdb.Predicate
 	dst   []int64
 	bb    crackdb.BatchBuffer
 	res   []QueryResult
+	out   []byte
 }
 
 var bufPool = sync.Pool{New: func() any { return new(queryBuffers) }}
@@ -576,7 +578,7 @@ func (s *Server) rejectOverCapacity(w http.ResponseWriter) {
 		}
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeError(w, http.StatusTooManyRequests, "over_capacity",
+	WriteError(w, http.StatusTooManyRequests, "over_capacity",
 		fmt.Sprintf("server at its in-flight limit (%d); retry", s.maxInFlight))
 }
 
@@ -603,7 +605,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	inline := req.Lo != 0 || req.Hi != 0 || len(req.Or) > 0 || req.Col != ""
@@ -613,12 +615,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		items = []QueryItem{req.QueryItem}
 		single = true
 	} else if inline {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		WriteError(w, http.StatusBadRequest, "bad_request",
 			"give either an inline query or \"queries\", not both")
 		return
 	}
 	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
+		WriteError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
 		return
 	}
 
@@ -628,7 +630,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, it := range items {
 		p, err := it.Predicate()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		qb.preds = append(qb.preds, p)
@@ -674,7 +676,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.queries.Add(int64(len(qb.preds)))
 	// Encode before the deferred bufPool.Put: batch results alias qb.bb's
 	// arena and are invalid once the buffers are recycled.
-	writeJSON(w, http.StatusOK, QueryResponse{Results: qb.res})
+	qb.writeResponse(w, QueryResponse{Results: qb.res})
+}
+
+// WriteQueryResponse writes resp as a 200 answer to a query, encoded by
+// AppendQueryResponse into a pooled buffer: the same bytes WriteJSON
+// would send, without reflection.
+func WriteQueryResponse(w http.ResponseWriter, resp QueryResponse) {
+	qb := bufPool.Get().(*queryBuffers)
+	defer bufPool.Put(qb)
+	qb.writeResponse(w, resp)
+}
+
+func (qb *queryBuffers) writeResponse(w http.ResponseWriter, resp QueryResponse) {
+	qb.out = AppendQueryResponse(qb.out[:0], resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// As in WriteJSON, a failed write cannot change the status any more.
+	_, _ = w.Write(qb.out)
 }
 
 // valuesResult builds a QueryResult over a materialized value slice,
@@ -706,7 +725,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, del bool) 
 	db := s.state().db
 
 	var req UpdateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	values := req.Values
@@ -714,7 +733,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, del bool) 
 		values = append(values, *req.Value)
 	}
 	if len(values) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "no values")
+		WriteError(w, http.StatusBadRequest, "bad_request", "no values")
 		return
 	}
 	// The whole value list rides one batch through one exclusive section
@@ -738,7 +757,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, del bool) 
 		return
 	}
 	s.met.observeUpdate(tm)
-	writeJSON(w, http.StatusOK, UpdateResponse{
+	WriteJSON(w, http.StatusOK, UpdateResponse{
 		Pending:  pending,
 		Accepted: len(values),
 		Grouped:  tm.Grouped,
@@ -770,7 +789,7 @@ type SnapshotResponse struct {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotPath == "" && s.snapshotStore == nil {
-		writeError(w, http.StatusUnprocessableEntity, "snapshot_unconfigured",
+		WriteError(w, http.StatusUnprocessableEntity, "snapshot_unconfigured",
 			"server started without a snapshot path (-snapshot) or store (-snapshot-store)")
 		return
 	}
@@ -796,7 +815,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeMappedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SaveSnapshot captures the DB's live adapted state and writes it to the
@@ -882,7 +901,7 @@ func (s *Server) handleSnapshotRange(w http.ResponseWriter, r *http.Request) {
 	lo, err1 := strconv.ParseInt(r.URL.Query().Get("lo"), 10, 64)
 	hi, err2 := strconv.ParseInt(r.URL.Query().Get("hi"), 10, 64)
 	if err1 != nil || err2 != nil || lo >= hi {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		WriteError(w, http.StatusBadRequest, "bad_request",
 			"need integer query params lo < hi")
 		return
 	}
@@ -902,7 +921,7 @@ func (s *Server) handleSnapshotRange(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := snap.Extract(lo, hi)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	// The part claims the whole domain even though it carries only
@@ -943,7 +962,7 @@ type RestoreResponse struct {
 // the manifest's bounds — the whole domain for a migration stream.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if s.reopen == nil {
-		writeError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
+		WriteError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
 			"server started without a restore hook")
 		return
 	}
@@ -956,11 +975,11 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	snap, err := crackdb.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxRestoreBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding snapshot stream: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding snapshot stream: "+err.Error())
 		return
 	}
 	if len(snap.Parts) == 0 && !snap.IsTable() {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty snapshot manifest")
+		WriteError(w, http.StatusBadRequest, "bad_request", "empty snapshot manifest")
 		return
 	}
 	s.swapMu.Lock()
@@ -978,14 +997,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		qlo, err1 := strconv.ParseInt(q.Get("lo"), 10, 64)
 		qhi, err2 := strconv.ParseInt(q.Get("hi"), 10, 64)
 		if err1 != nil || err2 != nil || qlo >= qhi {
-			writeError(w, http.StatusBadRequest, "bad_request",
+			WriteError(w, http.StatusBadRequest, "bad_request",
 				"lo/hi query params must be integers with lo < hi")
 			return
 		}
 		lo, hi = qlo, qhi
 	}
 	s.swapState(db, lo, hi)
-	writeJSON(w, http.StatusOK, RestoreResponse{
+	WriteJSON(w, http.StatusOK, RestoreResponse{
 		Rows: snap.Rows(), Parts: snapParts(snap), Pieces: snap.Pieces(),
 		Pending: snap.Pending(), ShardLo: lo, ShardHi: hi,
 		ElapsedMS: time.Since(start).Milliseconds(),
@@ -1004,16 +1023,16 @@ type RetainRequest struct {
 // and pending updates inside the kept range survive.
 func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
 	if s.reopen == nil {
-		writeError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
+		WriteError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
 			"server started without a restore hook")
 		return
 	}
 	var req RetainRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Lo >= req.Hi {
-		writeError(w, http.StatusBadRequest, "bad_request", "need lo < hi")
+		WriteError(w, http.StatusBadRequest, "bad_request", "need lo < hi")
 		return
 	}
 	release, ok := s.admit(r.Context())
@@ -1035,7 +1054,7 @@ func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := snap.Extract(req.Lo, req.Hi)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	// Same widening as the migration stream: the manifest tiles the
@@ -1047,7 +1066,7 @@ func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.swapState(db, req.Lo, req.Hi)
-	writeJSON(w, http.StatusOK, RestoreResponse{
+	WriteJSON(w, http.StatusOK, RestoreResponse{
 		Rows: part.Rows(), Parts: 1, Pieces: part.Pieces(),
 		Pending: part.Pending(), ShardLo: req.Lo, ShardHi: req.Hi,
 		ElapsedMS: time.Since(start).Milliseconds(),
@@ -1122,7 +1141,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		s.convMu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1136,7 +1155,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status: status, Name: cur.db.Name(), Mode: cur.db.Mode().String(),
 		Rows: int64(cur.db.Rows()), ShardLo: cur.lo, ShardHi: cur.hi,
 		Pieces: pieces, Restored: cur.restored, PendingUpdates: pending,
@@ -1151,7 +1170,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(true)
 	cur := s.state()
-	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, Rows: int64(cur.db.Rows())})
+	WriteJSON(w, http.StatusOK, DrainResponse{Draining: true, Rows: int64(cur.db.Rows())})
 }
 
 // instrument wraps a handler with request counting and, for the query
@@ -1187,6 +1206,7 @@ func (sw *statusWriter) status() int {
 
 // maxBodyBytes bounds request bodies; a query request is a few ranges, an
 // update request a value list — 8 MiB leaves room for large bulk loads.
+// The coordinator shares the bound through DecodeBody.
 const maxBodyBytes = 8 << 20
 
 // maxConvergenceSamples caps the retained /v1/stats convergence series:
@@ -1195,13 +1215,14 @@ const maxBodyBytes = 8 << 20
 // series is echoed back whole, response sizes) for the process lifetime.
 const maxConvergenceSamples = 512
 
-// decodeBody strictly decodes the JSON request body into v, writing the
-// 400 itself on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody strictly decodes the JSON request body into v (at most
+// maxBodyBytes, unknown fields rejected), writing the 400 itself on
+// failure. The cluster coordinator decodes its requests with it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 		return false
 	}
 	return true
@@ -1212,13 +1233,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // network are still off the table.
 const maxRestoreBytes = 1 << 30
 
-// decodeOptionalBody is decodeBody for endpoints whose body may be
+// decodeOptionalBody is DecodeBody for endpoints whose body may be
 // legitimately empty (POST /v1/snapshot predates its request type); an
 // empty or whitespace body leaves v at its zero value.
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return false
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
@@ -1227,7 +1248,7 @@ func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 		return false
 	}
 	return true
@@ -1263,14 +1284,16 @@ func statusFor(err error) (int, string) {
 
 func writeMappedError(w http.ResponseWriter, err error) {
 	status, code := statusFor(err)
-	writeError(w, status, code, err.Error())
+	WriteError(w, status, code, err.Error())
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
+// WriteError writes the API's flat {"error","code"} body with status.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorResponse{Error: msg, Code: code})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON body with status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// An encode failure after WriteHeader cannot change the status; the
