@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -13,6 +15,13 @@ import (
 // place of encoding/json's reflection. The bytes are exactly what
 // encoding/json produces for QueryResponse; the tests hold both halves
 // to encoding/json as the reference.
+//
+// Both halves move decimal digits a machine word at a time: the encoder
+// builds eight zero-padded digits in one uint64 and stores it with a
+// single write, and the decoder loads eight bytes, finds how many of
+// them are digits, and folds those into a number in three
+// multiply-and-mask steps. Words are little-endian, so byte 0 of a word
+// is the first (most significant) digit on the wire.
 
 // AppendQueryResponse appends the JSON encoding of resp to dst, byte for
 // byte what json.NewEncoder(w).Encode(resp) writes: "results" is null for
@@ -28,17 +37,12 @@ func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"count":`...)
-			dst = strconv.AppendInt(dst, int64(r.Count), 10)
+			dst = appendInt(dst, int64(r.Count))
 			dst = append(dst, `,"sum":`...)
-			dst = strconv.AppendInt(dst, r.Sum, 10)
+			dst = appendInt(dst, r.Sum)
 			if len(r.Values) > 0 {
 				dst = append(dst, `,"values":[`...)
-				for j, v := range r.Values {
-					if j > 0 {
-						dst = append(dst, ',')
-					}
-					dst = strconv.AppendInt(dst, v, 10)
-				}
+				dst = appendInts(dst, r.Values)
 				dst = append(dst, ']')
 			}
 			dst = append(dst, '}')
@@ -46,6 +50,118 @@ func AppendQueryResponse(dst []byte, resp QueryResponse) []byte {
 		dst = append(dst, ']')
 	}
 	return append(dst, "}\n"...)
+}
+
+// intRoom is the room putInt needs past its write position: a sign and
+// 19 digits. The one word store that can reach past the last digit, a
+// short head's, ends within a sign and eight digits.
+const intRoom = 1 + 19
+
+// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does.
+func appendInt(dst []byte, v int64) []byte {
+	dst = slices.Grow(dst, intRoom)
+	return dst[:putInt(dst[:cap(dst)], len(dst), v)]
+}
+
+// appendInts appends vals in decimal, separated by commas. When dst runs
+// short it grows by exactly what the values left take, so it grows at
+// most once per list, and a reused buffer stays about the size of the
+// largest answer written into it.
+func appendInts(dst []byte, vals []int64) []byte {
+	n := len(dst)
+	b := dst[:cap(dst)]
+	for i, v := range vals {
+		if len(b)-n < intRoom+1 {
+			need := intRoom
+			for _, v := range vals[i:] {
+				need += 1 + decimalWidth(v)
+			}
+			b = slices.Grow(b[:n], need)
+			b = b[:cap(b)]
+		}
+		if i > 0 {
+			b[n] = ','
+			n++
+		}
+		if uint64(v) < 1e8 {
+			n = putHead(b, n, uint32(v)) // most values: no sign, one word
+		} else {
+			n = putInt(b, n, v)
+		}
+	}
+	return b[:n]
+}
+
+// decimalWidth is the length of v in decimal, sign included.
+func decimalWidth(v int64) int {
+	u, sign := uint64(v), 0
+	if v < 0 {
+		u, sign = -u, 1
+	}
+	// Len64*1233>>12 is log10 of u's top power of two: the digit count
+	// or one short of it.
+	d := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[d] {
+		d++
+	}
+	return sign + max(d, 1)
+}
+
+// putInt writes v in decimal at b[n:], which must have intRoom bytes,
+// and returns the end of what it wrote. Bytes past the end may be
+// overwritten.
+func putInt(b []byte, n int, v int64) int {
+	u := uint64(v)
+	if v < 0 {
+		b[n] = '-'
+		n++
+		u = -u // also right for MinInt64, whose magnitude is 1<<63
+	}
+	if u < 1e8 {
+		return putHead(b, n, uint32(u))
+	}
+	// At most 19 digits: a head of 1 to 8, then one or two full chunks.
+	low := uint32(u % 1e8)
+	u /= 1e8
+	if u < 1e8 {
+		n = putHead(b, n, uint32(u))
+	} else {
+		n = putHead(b, n, uint32(u/1e8))
+		binary.LittleEndian.PutUint64(b[n:], eightDigits(uint32(u%1e8)))
+		n += 8
+	}
+	binary.LittleEndian.PutUint64(b[n:], eightDigits(low))
+	return n + 8
+}
+
+// putHead writes v < 10^8 at b[n:] without leading zeros (a lone 0 for
+// zero) in one 8-byte store, and returns the end of the digits.
+func putHead(b []byte, n int, v uint32) int {
+	w := eightDigits(v)
+	// Each leading zero is a '0' byte at the low end of the word: count
+	// them as zero bits, keeping at least the last digit.
+	zeros := min(bits.TrailingZeros64(w^asciiZeros)/8, 7)
+	binary.LittleEndian.PutUint64(b[n:], w>>(8*zeros))
+	return n + 8 - zeros
+}
+
+// asciiZeros is eight '0' bytes.
+const asciiZeros = 0x3030303030303030
+
+// digitPairs[i] is the two digits of i < 100 as a little-endian uint16.
+var digitPairs = func() (t [100]uint16) {
+	for i := range t {
+		t[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
+	}
+	return t
+}()
+
+// eightDigits returns v < 10^8 as eight zero-padded decimal digits,
+// the most significant in the low byte.
+func eightDigits(v uint32) uint64 {
+	hi, lo := v/10000, v%10000
+	return uint64(digitPairs[hi/100]) | uint64(digitPairs[hi%100])<<16 |
+		uint64(digitPairs[lo/100])<<32 | uint64(digitPairs[lo%100])<<48
 }
 
 // decodeQueryResponse parses a /v1/query answer for Client.Query. It is
@@ -94,15 +210,20 @@ func (d *queryDecoder) errorf(format string, args ...any) error {
 	return fmt.Errorf("decoding query response: offset %d: %s", d.pos, fmt.Sprintf(format, args...))
 }
 
-func (d *queryDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
+func (d *queryDecoder) skipSpace() { d.pos = skipSpace(d.data, d.pos) }
+
+// skipSpace returns the offset of the first byte at or after pos that is
+// not JSON whitespace.
+func skipSpace(data []byte, pos int) int {
+	for pos < len(data) {
+		switch data[pos] {
 		case ' ', '\t', '\n', '\r':
-			d.pos++
+			pos++
 		default:
-			return
+			return pos
 		}
 	}
+	return pos
 }
 
 // consume skips whitespace and then the byte c, reporting whether it was
@@ -296,58 +417,117 @@ func (d *queryDecoder) values(hint int) ([]int64, error) {
 	if d.consume(']') {
 		return out, nil
 	}
+	// The loop runs on locals and writes d.pos back only to return. A
+	// separator is tested for directly; whitespace, which every JSON
+	// whitespace byte is at or below, is skipped only where it occurs.
+	data, pos := d.data, d.pos
 	for {
-		v, err := d.int64()
-		if err != nil {
-			return nil, err
+		v, end, fault := parseInt(data, pos)
+		if fault != "" {
+			d.pos = end
+			return nil, d.errorf("%s", fault)
 		}
 		out = append(out, v)
-		if d.consume(']') {
+		pos = end
+		if pos < len(data) && data[pos] <= ' ' {
+			pos = skipSpace(data, pos)
+		}
+		if pos < len(data) && data[pos] == ',' {
+			pos++
+			if pos < len(data) && data[pos] <= ' ' {
+				pos = skipSpace(data, pos)
+			}
+			continue
+		}
+		d.pos = pos
+		if pos < len(data) && data[pos] == ']' {
+			d.pos++
 			return out, nil
 		}
-		if err := d.expect(','); err != nil {
-			return nil, err
-		}
+		return nil, d.errorf("expected ',' or ']'")
 	}
 }
 
-// int64 reads one JSON integer literal: an optional minus, then 0 or a
-// non-zero digit followed by digits, within int64. A fraction or exponent
-// leaves a '.', 'e' or 'E' that the caller's next expectation rejects.
+// int64 skips whitespace and reads one integer literal.
 func (d *queryDecoder) int64() (int64, error) {
 	d.skipSpace()
-	neg := d.pos < len(d.data) && d.data[d.pos] == '-'
+	v, end, fault := parseInt(d.data, d.pos)
+	d.pos = end
+	if fault != "" {
+		return 0, d.errorf("%s", fault)
+	}
+	return v, nil
+}
+
+// parseInt reads the JSON integer literal at data[pos:]: an optional
+// minus, then 0 or a non-zero digit followed by digits, within int64.
+// It returns the value and the end of the literal or, on failure, the
+// offset of the fault and what is wrong. A fraction or exponent ends the
+// literal at its '.', 'e' or 'E', which the caller's next expectation
+// rejects. It is the decoder's only integer reader.
+func parseInt(data []byte, pos int) (v int64, end int, fault string) {
+	neg := pos < len(data) && data[pos] == '-'
 	if neg {
-		d.pos++
+		pos++
 	}
-	start := d.pos
-	if d.pos == len(d.data) || d.data[d.pos] < '0' || d.data[d.pos] > '9' {
-		return 0, d.errorf("expected an integer")
-	}
-	if d.data[d.pos] == '0' {
-		d.pos++
-		if d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
-			return 0, d.errorf("leading zero")
-		}
-		return 0, nil
-	}
-	// Accumulate the magnitude as uint64; limit is MaxInt64 or, for a
-	// negative literal, its magnitude plus one.
-	limit := uint64(1<<63 - 1)
-	if neg {
-		limit++
-	}
+	start := pos
+	// Up to 19 digits fit a uint64, so the magnitude accumulates with no
+	// overflow test; the digit count and limit are checked at the end.
 	var u uint64
-	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
-		dig := uint64(d.data[d.pos] - '0')
-		if u > (limit-dig)/10 {
-			return 0, d.errorf("integer %s overflows int64", d.data[start:d.pos+1])
+	for {
+		if len(data)-pos < 8 {
+			// The last few bytes of the body go one at a time.
+			for pos < len(data) && data[pos]-'0' < 10 {
+				u = u*10 + uint64(data[pos]-'0')
+				pos++
+			}
+			break
 		}
-		u = u*10 + dig
-		d.pos++
+		w := binary.LittleEndian.Uint64(data[pos:])
+		k := leadingDigits(w)
+		u = u*pow10[k] + uint64(parseDigits(w, k))
+		pos += k
+		if k < 8 {
+			break
+		}
+	}
+	switch n := pos - start; {
+	case n == 0:
+		return 0, pos, "expected an integer"
+	case n > 1 && data[start] == '0':
+		return 0, start, "leading zero"
+	case n >= 19 && (n > 19 || u > 1<<63-1 && !neg || u > 1<<63):
+		return 0, start, "integer overflows int64"
 	}
 	if neg {
-		return -int64(u), nil
+		return -int64(u), pos, ""
 	}
-	return int64(u), nil
+	return int64(u), pos, ""
+}
+
+var pow10 = [20]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// leadingDigits counts the bytes of w, from the low end, before the
+// first one that is not an ASCII digit. In w-0x30 a byte below '0'
+// borrows and a byte from 0xB0 up stays above 0x7F; in w+0x46 a byte
+// from ':' to 0xB9 reaches 0x80. So a byte keeps its top bit clear in
+// both only if it is a digit. Borrows and carries run only upward, out
+// of a byte that is already flagged, so the lowest flagged byte is
+// exact.
+func leadingDigits(w uint64) int {
+	m := ((w - asciiZeros) | (w + 0x4646464646464646)) & 0x8080808080808080
+	return bits.TrailingZeros64(m) / 8
+}
+
+// parseDigits returns the number spelled by the k (0 to 8) low bytes of
+// w, which are ASCII digits, the first the most significant. Shifting
+// them to the top of the word makes the bytes below read as leading
+// zeros (for k = 0 the shift clears the word); then adjacent digits,
+// pairs and quads fold together in one multiply each.
+func parseDigits(w uint64, k int) uint32 {
+	w = w << (64 - 8*k) & 0x0F0F0F0F0F0F0F0F
+	w = w * (1 + 10<<8) >> 8 & 0x00FF00FF00FF00FF
+	w = w * (1 + 100<<16) >> 16 & 0x0000FFFF0000FFFF
+	return uint32(w * (1 + 10000<<32) >> 32)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,6 +143,18 @@ var decodeAccepts = []string{
 	`{"results":[{"count":1000000,"sum":1,"values":[1]}]}`,
 	`{"results":[{"count":1,"sum":-9223372036854775808,"values":[9223372036854775807]}]}`,
 	`{"results":[{"count":1},{"count":2,"values":[3,4]}]}`,
+	// Word-kernel edges: a value ending fewer than eight bytes before
+	// the end of the body, zeros across an 8-digit chunk boundary, the
+	// int64 limits in a values list and at the end of the body, and
+	// whitespace between values after which the word loop resumes.
+	`{"results":[{"values":[1234567]}]}`,
+	`{"results":[{"values":[7],"count":1234567}]}`,
+	`{"results":[{"values":[-0,0,-1]}]}`,
+	`{"results":[{"values":[100000000,1000000000000001,10000000000000000,-100000000]}]}`,
+	`{"results":[{"values":[9223372036854775807,-9223372036854775808,1]}]}`,
+	`{"results":[{"values":[-9223372036854775808]}]}`,
+	`{"results":[{"values":[9223372036854775807]}]}`,
+	"{\"results\":[{\"values\":[1, 2,\n3 ,4\t,\r12345678 , 123456789,1234567890123]}]}",
 }
 
 // decodeRejects are bodies the hand decoder must refuse. Most of them
@@ -202,6 +216,29 @@ var decodeRejects = []string{
 	`{"results":[{"results":[]}]}`,
 	"{\"results\":[{\"count\":1\x00}]}",
 	"{\"resu\nlts\":[]}",
+	`{"results":[{"values":[01,2]}]}`,
+	`{"results":[{"values":[1,-01,2]}]}`,
+	`{"results":[{"values":[01]}]}`,
+	`{"results":[{"values":[-]}]}`,
+	`{"results":[{"values":[1,-,2]}]}`,
+	`{"results":[{"values":[- 1]}]}`,
+	`{"results":[{"values":[0000000012345678]}]}`,
+	`{"results":[{"values":[000000000,1]}]}`,
+	`{"results":[{"values":[-0000000012345678,1]}]}`,
+	`{"results":[{"values":[9223372036854775808,1]}]}`,
+	`{"results":[{"values":[1,-9223372036854775809,1]}]}`,
+	`{"results":[{"values":[9223372036854775808]}]}`,
+	`{"results":[{"values":[-9223372036854775809]}]}`,
+	`{"results":[{"values":[10000000000000000000,1]}]}`,
+	`{"results":[{"values":[-10000000000000000000]}]}`,
+	`{"results":[{"values":[1234567890123456789012345678901234567890]}]}`,
+	`{"results":[{"values":[12345678.5,1]}]}`,
+	`{"results":[{"values":[1234567e1,1]}]}`,
+	`{"results":[{"values":[12345678` + "\x00" + `,1]}]}`,
+	`{"results":[{"values":[1 , 2 3]}]}`,
+	`{"results":[{"values":[1,2`,
+	`{"results":[{"values":[12345678`,
+	`{"results":[{"values":[123,`,
 }
 
 func TestDecodeQueryResponseAccepts(t *testing.T) {
@@ -244,6 +281,8 @@ func FuzzQueryResponseDecode(f *testing.F) {
 		{Count: 3, Sum: 3, Values: []int64{math.MinInt64, math.MaxInt64, 3}},
 		{Count: 7, Sum: -1},
 	}}))
+	edges := kernelEdgeValues()
+	f.Add(AppendQueryResponse(nil, QueryResponse{Results: []QueryResult{{Count: len(edges), Values: edges}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeQueryResponse(data)
 		if err != nil {
@@ -268,6 +307,114 @@ func FuzzQueryResponseDecode(f *testing.F) {
 			t.Fatalf("re-encoding %s gave %s", enc, back)
 		}
 	})
+}
+
+// kernelEdgeValues are the values the digit kernels split or bound
+// differently: every digit count from 1 to 19, each power of ten and its
+// neighbours (so the 10^8 and 10^16 chunk edges), both int64 limits, and
+// the negatives of all of them.
+func kernelEdgeValues() []int64 {
+	vals := []int64{0, math.MaxInt64, math.MaxInt64 - 1}
+	for p := int64(1); ; p *= 10 {
+		vals = append(vals, p-1, p, p+1, p+p/2+3)
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	for _, v := range vals[1:] {
+		vals = append(vals, -v)
+	}
+	return append(vals, math.MinInt64)
+}
+
+// TestCodecDigitKernelsMatchStrconv holds both kernels to strconv on every
+// edge value: the encoder writes strconv's digits, alone and in a list,
+// and the decoder reads them back with the literal's end, whether the
+// value sits mid-body (word loop), ends the body (byte tail), or is
+// followed by a separator or a byte that ends a literal.
+func TestCodecDigitKernelsMatchStrconv(t *testing.T) {
+	vals := kernelEdgeValues()
+	digits := map[int]bool{}
+	var list []byte
+	for i, v := range vals {
+		want := strconv.FormatInt(v, 10)
+		digits[len(strings.TrimPrefix(want, "-"))] = true
+		if got := string(appendInt([]byte("x"), v)); got != "x"+want {
+			t.Errorf("appendInt(%d) = %q, want %q", v, got, "x"+want)
+		}
+		if got := decimalWidth(v); got != len(want) {
+			t.Errorf("decimalWidth(%d) = %d, want %d", v, got, len(want))
+		}
+		if i > 0 {
+			list = append(list, ',')
+		}
+		list = strconv.AppendInt(list, v, 10)
+		for _, tail := range []string{"", ",", "]", "}", " ", ".5", "e3", ",123456789", "]}]}\n", "        "} {
+			body := want + tail
+			got, end, fault := parseInt([]byte(body), 0)
+			if fault != "" || got != v || end != len(want) {
+				t.Errorf("parseInt(%q) = %d, end %d, fault %q; want %d, end %d", body, got, end, fault, v, len(want))
+			}
+		}
+	}
+	if got := appendInts(nil, vals); !bytes.Equal(got, list) {
+		t.Errorf("appendInts(edges)\n got %s\nwant %s", got, list)
+	}
+	for n := 1; n <= 19; n++ {
+		if !digits[n] {
+			t.Errorf("no edge value has %d digits", n)
+		}
+	}
+	checkRoundTrip(t, QueryResponse{Results: []QueryResult{{Count: len(vals), Sum: vals[1], Values: vals}}})
+}
+
+// TestCodecParseIntRejects holds the integer reader to JSON's number grammar
+// and the int64 range, at every distance from the end of the body.
+func TestCodecParseIntRejects(t *testing.T) {
+	for _, lit := range []string{
+		"", "-", "+1", "--1", "-+1", "01", "00", "-01", "-00", "007",
+		"0000000012345678", "-0000000000000000001",
+		"9223372036854775808", "-9223372036854775809",
+		"9999999999999999999", "10000000000000000000", "-10000000000000000000",
+		"123456789012345678901234567890",
+	} {
+		for _, tail := range []string{"", ",", "]", "        "} {
+			body := lit + tail
+			if v, end, fault := parseInt([]byte(body), 0); fault == "" {
+				t.Errorf("parseInt(%q) = %d, end %d; want a fault", body, v, end)
+			}
+		}
+	}
+}
+
+// TestCodecLeadingDigits checks the SWAR digit mask against every byte value
+// at every position of the word, with digits below it and bytes that
+// would carry or borrow above it.
+func TestCodecLeadingDigits(t *testing.T) {
+	for pos := 0; pos < 8; pos++ {
+		for c := 0; c < 256; c++ {
+			for _, fill := range []byte{0x00, '5', 0xFF} {
+				var word [8]byte
+				for i := range word {
+					word[i] = fill
+				}
+				for i := 0; i < pos; i++ {
+					word[i] = '0' + byte(i+c)%10
+				}
+				word[pos] = byte(c)
+				want := pos
+				if c >= '0' && c <= '9' {
+					want = pos + 1
+					for want < 8 && word[want] >= '0' && word[want] <= '9' {
+						want++
+					}
+				}
+				if got := leadingDigits(binary.LittleEndian.Uint64(word[:])); got != want {
+					t.Fatalf("leadingDigits(%q) = %d, want %d", word, got, want)
+				}
+			}
+		}
+	}
 }
 
 // wideResponse is a converged 10k-row answer as the server encodes it.
@@ -365,5 +512,118 @@ func TestServedQueryAllocsFlat(t *testing.T) {
 	narrow, wide := allocs(20_000, 20_010), allocs(30_000, 40_000)
 	if narrow != wide {
 		t.Errorf("served query allocs: %.0f for 10 rows, %.0f for 10k rows; want equal", narrow, wide)
+	}
+}
+
+// codecBenchResponse is a one-result answer of n values, each with the
+// given number of decimal digits; 19-digit values alternate in sign.
+func codecBenchResponse(n, digits int) QueryResponse {
+	rng := rand.New(rand.NewSource(int64(n*100 + digits)))
+	lo := int64(1)
+	for i := 1; i < digits; i++ {
+		lo *= 10
+	}
+	vals := make([]int64, n)
+	var sum int64
+	for i := range vals {
+		v := lo + rng.Int63n(9*lo)
+		if digits == 19 && i%2 == 1 {
+			v = -v
+		}
+		vals[i] = v
+		sum += v
+	}
+	return QueryResponse{Results: []QueryResult{{Count: n, Sum: sum, Values: vals}}}
+}
+
+// codecBenchCases are the answer shapes the codec benchmarks time: a
+// narrow and a wide answer, with 7-digit values (a column of a few
+// million rows) and with full-width int64 values.
+var codecBenchCases = []struct{ values, digits int }{
+	{10, 7}, {10, 19}, {10_000, 7}, {10_000, 19},
+}
+
+// TestAppendQueryResponseCapacity pins that the encoder sizes its buffer
+// on the answer rather than on the widest possible value: a wide answer
+// encoded from nil leaves at most a quarter of spare capacity, which is
+// what the pooled response buffer then keeps.
+func TestAppendQueryResponseCapacity(t *testing.T) {
+	for _, c := range codecBenchCases {
+		out := AppendQueryResponse(nil, codecBenchResponse(c.values, c.digits))
+		if c.values >= 1000 && cap(out) > len(out)*5/4 {
+			t.Errorf("%d %d-digit values: %d bytes in a %d-byte buffer", c.values, c.digits, len(out), cap(out))
+		}
+	}
+}
+
+func BenchmarkAppendQueryResponse(b *testing.B) {
+	for _, c := range codecBenchCases {
+		resp := codecBenchResponse(c.values, c.digits)
+		b.Run(fmt.Sprintf("values=%d/digits=%d", c.values, c.digits), func(b *testing.B) {
+			buf := AppendQueryResponse(nil, resp)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = AppendQueryResponse(buf[:0], resp)
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeQueryResponse(b *testing.B) {
+	for _, c := range codecBenchCases {
+		body := AppendQueryResponse(nil, codecBenchResponse(c.values, c.digits))
+		b.Run(fmt.Sprintf("values=%d/digits=%d", c.values, c.digits), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeQueryResponse(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestClientQueryAllocsOverHTTP pins the allocations of one converged
+// query end to end over loopback HTTP: Client.QueryRange against
+// Server.Handler() behind httptest.NewServer, client and server counted
+// together. The bounds are what the stack spends today (net/http, the
+// request JSON, the answer's value slice); a 10k-row answer may cost only
+// the few more that its larger buffers take, never one per value.
+func TestClientQueryAllocsOverHTTP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	const rows = 1 << 16
+	db, err := crackdb.Open(crackdb.MakeData(rows, 3), crackdb.Crack,
+		crackdb.WithConcurrency(crackdb.Shared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ts := httptest.NewServer(New(db, Config{Info: Info{Rows: rows, Algorithm: crackdb.Crack, Permutation: true}}).Handler())
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, ts.Client())
+	ctx := context.Background()
+	for _, tc := range []struct {
+		lo, hi int64
+		most   float64
+	}{
+		{20_000, 20_010, 101},
+		{30_000, 40_000, 104},
+	} {
+		query := func() {
+			res, err := c.QueryRange(ctx, tc.lo, tc.hi)
+			if err != nil || res.Count != int(tc.hi-tc.lo) || len(res.Values) != res.Count {
+				t.Fatalf("[%d, %d): %d values, count %d, err %v", tc.lo, tc.hi, len(res.Values), res.Count, err)
+			}
+		}
+		query() // converge both bounds
+		query() // warm the pooled buffers and the connection
+		if got := testing.AllocsPerRun(50, query); got > tc.most {
+			t.Errorf("[%d, %d) over HTTP: %.0f allocs per query, want at most %.0f", tc.lo, tc.hi, got, tc.most)
+		}
 	}
 }

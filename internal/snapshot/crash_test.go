@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -51,6 +50,7 @@ func (w *truncatingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+func (w *truncatingWriter) Sync() error  { return w.f.Sync() }
 func (w *truncatingWriter) Close() error { return w.f.Close() }
 
 // TestAtomicSaveSurvivesMidWriteFailure injects a write failure partway
@@ -65,7 +65,7 @@ func TestAtomicSaveSurvivesMidWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	createFile = func(p string) (io.WriteCloser, error) {
+	createFile = func(p string) (tempFile, error) {
 		f, err := os.Create(p)
 		if err != nil {
 			return nil, err
@@ -101,6 +101,49 @@ func TestAtomicSaveSurvivesRenameFailure(t *testing.T) {
 	}
 	if err := SaveManifestFile(path, shardedManifest(t, 3000, 3, false)); err == nil {
 		t.Fatal("failed rename reported success")
+	}
+	if got := loadRows(t, path); got != 1000 {
+		t.Fatalf("previous snapshot has %d rows, want 1000", got)
+	}
+}
+
+// failingSync writes through to the temp file but fails to sync it, as
+// a device error at fsync time would.
+type failingSync struct{ *os.File }
+
+func (failingSync) Sync() error { return errors.New("injected: fsync failed") }
+
+// TestAtomicSaveSurvivesSyncFailure injects a failed fsync of the
+// complete temp file: the save must error before the rename, the temp
+// file must be removed, and the previous snapshot must stay loadable.
+func TestAtomicSaveSurvivesSyncFailure(t *testing.T) {
+	restoreHooks(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.crks")
+	if err := SaveManifestFile(path, shardedManifest(t, 1000, 2, false)); err != nil {
+		t.Fatal(err)
+	}
+
+	createFile = func(p string) (tempFile, error) {
+		f, err := os.Create(p)
+		if err != nil {
+			return nil, err
+		}
+		return failingSync{f}, nil
+	}
+	renamed := false
+	renameFile = func(oldpath, newpath string) error {
+		renamed = true
+		return os.Rename(oldpath, newpath)
+	}
+	if err := SaveManifestFile(path, shardedManifest(t, 3000, 3, false)); err == nil {
+		t.Fatal("save with a failed sync reported success")
+	}
+	if renamed {
+		t.Fatal("temp file renamed over the snapshot before it was synced")
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unsynced temp file left behind: %v", err)
 	}
 	if got := loadRows(t, path); got != 1000 {
 		t.Fatalf("previous snapshot has %d rows, want 1000", got)

@@ -43,6 +43,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"repro/internal/core"
@@ -483,12 +484,19 @@ func readSlice[T int64 | uint32](r io.Reader, n uint64) ([]T, error) {
 	return out, nil
 }
 
+// tempFile is what saveAtomic writes a snapshot through: an *os.File in
+// production, a failing stand-in in the crash-safety tests.
+type tempFile interface {
+	io.WriteCloser
+	Sync() error
+}
+
 // Hooks for the crash-safety tests: they inject failures between the
-// temp-file write and the rename, and mid-write truncation, to prove the
-// previous snapshot file survives every failure mode. Production code
-// never touches them.
+// temp-file write and the rename, mid-write truncation and a failed
+// sync, to prove the previous snapshot file survives every failure mode.
+// Production code never touches them.
 var (
-	createFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+	createFile = func(path string) (tempFile, error) { return os.Create(path) }
 	renameFile = os.Rename
 )
 
@@ -501,7 +509,9 @@ func SaveFile(path string, st core.SnapshotState) error {
 // SaveManifestFile writes a manifest to path atomically (temp file +
 // rename). A crash at any point leaves either the previous file or the
 // new one, never a torn mix: the body goes to path.tmp first and the
-// rename is the only step that touches path.
+// rename is the only step that touches path. The temp file is synced
+// before the rename and the directory after it, so once the call returns
+// the new snapshot survives a power loss, not only a process crash.
 func SaveManifestFile(path string, m Manifest) error {
 	return saveAtomic(path, func(w io.Writer) error { return WriteManifest(w, m) })
 }
@@ -517,6 +527,13 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
+	// Without the sync the rename can reach the disk before the data,
+	// and a power loss would leave a torn file under path.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("snapshot: sync %s: %w", tmp, err)
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
@@ -524,6 +541,19 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 	if err := renameFile(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("snapshot: sync directory: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("snapshot: sync directory %s: %w", dir, err)
 	}
 	return nil
 }
