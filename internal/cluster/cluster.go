@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -589,7 +590,13 @@ func (c *Coordinator) scatterOn(ctx context.Context, routes []route, lo, hi int6
 	}
 	// Gather in route order: range i's values all precede range i+1's,
 	// so a split-range answer concatenates into one deterministic
-	// ascending-by-shard sequence.
+	// ascending-by-shard sequence. item.Values grows once, by what all
+	// the sub-results carry.
+	total := 0
+	for _, res := range results {
+		total += len(res.Values)
+	}
+	item.Values = slices.Grow(item.Values, total)
 	for _, res := range results {
 		item.Count += res.Count
 		item.Sum += res.Sum

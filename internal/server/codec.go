@@ -22,6 +22,13 @@ import (
 // them are digits, and folds those into a number in three
 // multiply-and-mask steps. Words are little-endian, so byte 0 of a word
 // is the first (most significant) digit on the wire.
+//
+// Most values of a wide answer are short: non-negative with at most seven
+// digits (any column of up to 10^7 rows), so a value and the comma after
+// it fit in one word. Both halves have a fast path for that shape: the
+// encoder writes the value and its comma with one store, and the decoder
+// reads them from one load. Every other shape falls back, at the same
+// offset, to the general path, which alone reports errors.
 
 // AppendQueryResponse appends the JSON encoding of resp to dst, byte for
 // byte what json.NewEncoder(w).Encode(resp) writes: "results" is null for
@@ -63,11 +70,15 @@ func appendInt(dst []byte, v int64) []byte {
 	return dst[:putInt(dst[:cap(dst)], len(dst), v)]
 }
 
-// appendInts appends vals in decimal, separated by commas. When dst runs
-// short it grows by exactly what the values left take, so it grows at
-// most once per list, and a reused buffer stays about the size of the
-// largest answer written into it.
+// appendInts appends vals in decimal, separated by commas: each value
+// and a comma after it, the last comma then dropped. When dst runs short
+// it grows by exactly what the values left take, so it grows at most
+// once per list, and a reused buffer stays about the size of the largest
+// answer written into it.
 func appendInts(dst []byte, vals []int64) []byte {
+	if len(vals) == 0 {
+		return dst
+	}
 	n := len(dst)
 	b := dst[:cap(dst)]
 	for i, v := range vals {
@@ -79,17 +90,20 @@ func appendInts(dst []byte, vals []int64) []byte {
 			b = slices.Grow(b[:n], need)
 			b = b[:cap(b)]
 		}
-		if i > 0 {
+		if uint64(v) < 1e7 {
+			// A short value: its digits and the comma go out in one
+			// word. k is at most 7; the mask only spares the compiler
+			// its code for shifts of 64 and more.
+			w, k := headWord(uint32(v))
+			binary.LittleEndian.PutUint64(b[n:], w|','<<(8*k&63))
+			n += k + 1
+		} else {
+			n = putInt(b, n, v)
 			b[n] = ','
 			n++
 		}
-		if uint64(v) < 1e8 {
-			n = putHead(b, n, uint32(v)) // most values: no sign, one word
-		} else {
-			n = putInt(b, n, v)
-		}
 	}
-	return b[:n]
+	return b[:n-1]
 }
 
 // decimalWidth is the length of v in decimal, sign included.
@@ -137,12 +151,19 @@ func putInt(b []byte, n int, v int64) int {
 // putHead writes v < 10^8 at b[n:] without leading zeros (a lone 0 for
 // zero) in one 8-byte store, and returns the end of the digits.
 func putHead(b []byte, n int, v uint32) int {
+	w, k := headWord(v)
+	binary.LittleEndian.PutUint64(b[n:], w)
+	return n + k
+}
+
+// headWord returns the digits of v < 10^8 without leading zeros (a lone 0
+// for zero) in the low bytes of a word, and how many there are.
+func headWord(v uint32) (uint64, int) {
 	w := eightDigits(v)
 	// Each leading zero is a '0' byte at the low end of the word: count
 	// them as zero bits, keeping at least the last digit.
 	zeros := min(bits.TrailingZeros64(w^asciiZeros)/8, 7)
-	binary.LittleEndian.PutUint64(b[n:], w>>(8*zeros))
-	return n + 8 - zeros
+	return w >> (8 * zeros), 8 - zeros
 }
 
 // asciiZeros is eight '0' bytes.
@@ -420,23 +441,32 @@ func (d *queryDecoder) values(hint int) ([]int64, error) {
 	// The loop runs on locals and writes d.pos back only to return. A
 	// separator is tested for directly; whitespace, which every JSON
 	// whitespace byte is at or below, is skipped only where it occurs.
+	// shortValues takes the run of short values from pos on, and the
+	// general path the first value it leaves. Long or negative values
+	// tend to come in runs too, so shortValues is tried again only after
+	// a short value: a list of long values costs what it did without it.
 	data, pos := d.data, d.pos
+	short := true
 	for {
+		if short {
+			out, pos = shortValues(data, pos, out)
+		}
+		if pos < len(data) && data[pos] <= ' ' {
+			pos = skipSpace(data, pos)
+		}
 		v, end, fault := parseInt(data, pos)
 		if fault != "" {
 			d.pos = end
 			return nil, d.errorf("%s", fault)
 		}
 		out = append(out, v)
+		short = uint64(v) < 1e7
 		pos = end
 		if pos < len(data) && data[pos] <= ' ' {
 			pos = skipSpace(data, pos)
 		}
 		if pos < len(data) && data[pos] == ',' {
 			pos++
-			if pos < len(data) && data[pos] <= ' ' {
-				pos = skipSpace(data, pos)
-			}
 			continue
 		}
 		d.pos = pos
@@ -446,6 +476,26 @@ func (d *queryDecoder) values(hint int) ([]int64, error) {
 		}
 		return nil, d.errorf("expected ',' or ']'")
 	}
+}
+
+// shortValues appends to out the values at data[pos:] for as long as
+// each is a non-negative literal of 1 to 7 digits followed by a comma,
+// which one 8-byte word holds, and returns the offset of the first value
+// it did not take. Any other bytes, including whitespace and the last
+// value of a list, are left to the general path.
+func shortValues(data []byte, pos int, out []int64) ([]int64, int) {
+	for len(data)-pos >= 8 {
+		w := binary.LittleEndian.Uint64(data[pos:])
+		k := leadingDigits(w)
+		// k is 1 to 7, a leading 0 is alone, and byte k is the comma.
+		// For k = 8 the masked shift is 0 and reads byte 0, a digit.
+		if k == 0 || k > 1 && byte(w) == '0' || w>>(8*k&63)&0xFF != ',' {
+			break
+		}
+		out = append(out, int64(parseDigits(w, k)))
+		pos += k + 1
+	}
+	return out, pos
 }
 
 // int64 skips whitespace and reads one integer literal.

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,6 +156,22 @@ var decodeAccepts = []string{
 	`{"results":[{"values":[-9223372036854775808]}]}`,
 	`{"results":[{"values":[9223372036854775807]}]}`,
 	"{\"results\":[{\"values\":[1, 2,\n3 ,4\t,\r12345678 , 123456789,1234567890123]}]}",
+	// Short-value fast path edges: whitespace right after a comma it
+	// took, a 7-digit value before ']', an 8-digit value whose comma is
+	// in the next word, negatives and zeros among short values, a
+	// value starting exactly 8 and 7 bytes before the end, and a last
+	// value ending 4 to 7 bytes before the end.
+	"{\"results\":[{\"values\":[1234567, 1234567,\n7,\t0,\r12 ,3]}]}",
+	`{"results":[{"values":[1,1234567]}]}`,
+	`{"results":[{"values":[1234567],"count":1}]}`,
+	`{"results":[{"values":[1,12345678,1234567,87654321,10000000,9999999,2]}]}`,
+	`{"results":[{"values":[-123456,1234567,-1,0,0,0,1,-1234567,7]}]}`,
+	`{"results":[{"values":[12,3]}]}`,
+	`{"results":[{"values":[1,2]}]}`,
+	`{"results":[{"values":[1,2345]}]}`,
+	"{\"results\":[{\"values\":[1,2345]}]} ",
+	"{\"results\":[{\"values\":[1,2345]}]}\n\n",
+	"{\"results\":[{\"values\":[1,2345]}]} \t\n",
 }
 
 // decodeRejects are bodies the hand decoder must refuse. Most of them
@@ -239,6 +256,28 @@ var decodeRejects = []string{
 	`{"results":[{"values":[1,2`,
 	`{"results":[{"values":[12345678`,
 	`{"results":[{"values":[123,`,
+	// Short-value fast path edges: a leading zero after a short value,
+	// digits ending in a byte other than ',' with the fast path active
+	// and a whole word left, and a short value ending 0 to 3 bytes
+	// before the end of a truncated body.
+	`{"results":[{"values":[0123456,1]}]}`,
+	`{"results":[{"values":[1,0123456,1]}]}`,
+	`{"results":[{"values":[1,00,1,1,1]}]}`,
+	`{"results":[{"values":[1,123.5,1,1]}]}`,
+	`{"results":[{"values":[1,123e4,1,1]}]}`,
+	`{"results":[{"values":[1,123E4,1,1]}]}`,
+	`{"results":[{"values":[1,123:4,1,1]}]}`,
+	"{\"results\":[{\"values\":[1,123\x004,1,1]}]}",
+	"{\"results\":[{\"values\":[1,123\xff4,1,1]}]}",
+	`{"results":[{"values":[1,1234567,,1]}]}`,
+	`{"results":[{"values":[1,,1234567,1]}]}`,
+	`{"results":[{"values":[,12345678]}]}`,
+	`{"results":[{"values":[1,2345`,
+	`{"results":[{"values":[1,2345]`,
+	`{"results":[{"values":[1,2345]}`,
+	`{"results":[{"values":[1,2345]}]`,
+	`{"results":[{"values":[1234567,`,
+	`{"results":[{"values":[1234567,1`,
 }
 
 func TestDecodeQueryResponseAccepts(t *testing.T) {
@@ -305,6 +344,42 @@ func FuzzQueryResponseDecode(f *testing.F) {
 		}
 		if back := AppendQueryResponse(nil, again); !bytes.Equal(back, enc) {
 			t.Fatalf("re-encoding %s gave %s", enc, back)
+		}
+	})
+}
+
+// FuzzQueryResponseEncode holds the encoder to encoding/json on values
+// made from the fuzz bytes, eight to a value, written after a prefix
+// into a reused buffer whose bytes past the prefix are a stale answer.
+func FuzzQueryResponseEncode(f *testing.F) {
+	for _, vals := range [][]int64{
+		kernelEdgeValues(),
+		codecBenchResponse(64, 7).Results[0].Values,
+		codecBenchResponse(64, 0).Results[0].Values,
+		{0, 1, 9999999, 10000000, -1},
+	} {
+		var data []byte
+		for _, v := range vals {
+			data = binary.LittleEndian.AppendUint64(data, uint64(v))
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	const prefix = "prefix"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := make([]int64, len(data)/8)
+		stale := make([]int64, len(vals))
+		var sum int64
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+			stale[i] = ^vals[i]
+			sum += vals[i]
+		}
+		resp := QueryResponse{Results: []QueryResult{{Count: len(vals), Sum: sum, Values: vals}, {Count: 1}}}
+		buf := AppendQueryResponse([]byte(prefix), QueryResponse{Results: []QueryResult{{Count: -1, Values: stale}}})
+		got := AppendQueryResponse(buf[:len(prefix)], resp)
+		if want := jsonEncoded(t, resp); string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendQueryResponse(%q, %+v)\n got %s\nwant %s%s", prefix, resp, got, prefix, want)
 		}
 	})
 }
@@ -417,6 +492,39 @@ func TestCodecLeadingDigits(t *testing.T) {
 	}
 }
 
+// TestCodecShortValues checks the decoder's fast path on its own: after
+// a short value, it sees digits of every width from 0 to 8, with and
+// without a leading zero, then every byte value, with 0 to 8 bytes of
+// the body left after that byte. It must take a value exactly when a
+// whole word is left, its digits and a ',' fit in that word and the
+// literal is valid, and otherwise stop at that value's start.
+func TestCodecShortValues(t *testing.T) {
+	for width := 0; width <= 8; width++ {
+		for _, first := range []byte{'0', '7'} {
+			lit := (string(first) + "12345678")[:width]
+			for c := 0; c < 256; c++ {
+				for pad := 0; pad <= 8; pad++ {
+					body := []byte("5," + lit + string(rune(0)) + strings.Repeat("9", pad))
+					body[2+width] = byte(c)
+					out, pos := shortValues(body, 0, nil)
+					var want []int64
+					wantPos := 0
+					if len(body) >= 8 {
+						want, wantPos = []int64{5}, 2
+					}
+					if c == ',' && 1 <= width && width <= 7 && (first != '0' || width == 1) && len(body)-2 >= 8 {
+						v, _ := strconv.ParseInt(lit, 10, 64)
+						want, wantPos = append(want, v), 2+width+1
+					}
+					if !slices.Equal(out, want) || pos != wantPos {
+						t.Fatalf("shortValues(%q) = %v, %d; want %v, %d", body, out, pos, want, wantPos)
+					}
+				}
+			}
+		}
+	}
+}
+
 // wideResponse is a converged 10k-row answer as the server encodes it.
 func wideResponse(n int) []byte {
 	vals := make([]int64, n)
@@ -516,18 +624,21 @@ func TestServedQueryAllocsFlat(t *testing.T) {
 }
 
 // codecBenchResponse is a one-result answer of n values, each with the
-// given number of decimal digits; 19-digit values alternate in sign.
+// given number of decimal digits; 19-digit values alternate in sign. For
+// digits 0 the widths are drawn from 1 to 19 and about half the values
+// are negative.
 func codecBenchResponse(n, digits int) QueryResponse {
 	rng := rand.New(rand.NewSource(int64(n*100 + digits)))
-	lo := int64(1)
-	for i := 1; i < digits; i++ {
-		lo *= 10
-	}
 	vals := make([]int64, n)
 	var sum int64
 	for i := range vals {
+		width := digits
+		if digits == 0 {
+			width = 1 + rng.Intn(19)
+		}
+		lo := int64(pow10[width-1])
 		v := lo + rng.Int63n(9*lo)
-		if digits == 19 && i%2 == 1 {
+		if digits == 19 && i%2 == 1 || digits == 0 && rng.Intn(2) == 1 {
 			v = -v
 		}
 		vals[i] = v
@@ -536,11 +647,24 @@ func codecBenchResponse(n, digits int) QueryResponse {
 	return QueryResponse{Results: []QueryResult{{Count: n, Sum: sum, Values: vals}}}
 }
 
-// codecBenchCases are the answer shapes the codec benchmarks time: a
-// narrow and a wide answer, with 7-digit values (a column of a few
-// million rows) and with full-width int64 values.
-var codecBenchCases = []struct{ values, digits int }{
-	{10, 7}, {10, 19}, {10_000, 7}, {10_000, 19},
+// codecBenchCase is an answer shape the codec benchmarks time: values
+// values of digits decimal digits each, or of mixed widths for digits 0.
+type codecBenchCase struct{ values, digits int }
+
+func (c codecBenchCase) String() string {
+	if c.digits == 0 {
+		return fmt.Sprintf("values=%d/digits=mixed", c.values)
+	}
+	return fmt.Sprintf("values=%d/digits=%d", c.values, c.digits)
+}
+
+// codecBenchCases are a narrow and a wide answer with 7-digit values (a
+// column of a few million rows, the decoder's and encoder's short-value
+// fast path) and with full-width int64 values, and a wide answer of
+// mixed widths and signs, where the fast path is taken for a few values
+// only and the cost of falling back shows.
+var codecBenchCases = []codecBenchCase{
+	{10, 7}, {10, 19}, {10_000, 7}, {10_000, 19}, {10_000, 0},
 }
 
 // TestAppendQueryResponseCapacity pins that the encoder sizes its buffer
@@ -559,7 +683,7 @@ func TestAppendQueryResponseCapacity(t *testing.T) {
 func BenchmarkAppendQueryResponse(b *testing.B) {
 	for _, c := range codecBenchCases {
 		resp := codecBenchResponse(c.values, c.digits)
-		b.Run(fmt.Sprintf("values=%d/digits=%d", c.values, c.digits), func(b *testing.B) {
+		b.Run(c.String(), func(b *testing.B) {
 			buf := AppendQueryResponse(nil, resp)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
@@ -574,7 +698,7 @@ func BenchmarkAppendQueryResponse(b *testing.B) {
 func BenchmarkDecodeQueryResponse(b *testing.B) {
 	for _, c := range codecBenchCases {
 		body := AppendQueryResponse(nil, codecBenchResponse(c.values, c.digits))
-		b.Run(fmt.Sprintf("values=%d/digits=%d", c.values, c.digits), func(b *testing.B) {
+		b.Run(c.String(), func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
